@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 
 cargo build --release --offline
 cargo test -q --workspace --offline
+# Fixed thread count: the default is the CPU count, which hides shared-temp-dir races on 1 CPU.
+cargo test -q --offline --test plfsctl_cli -- --test-threads=4
 cargo clippy --workspace --offline -- -D warnings
 
 # Docs are part of the contract: rustdoc must build warning-clean

@@ -8,8 +8,21 @@ fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_plfsctl")
 }
 
-fn make_mount() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("plfsctl-test-{}", std::process::id()));
+/// Removes a test's mount directory when the test ends, also when it
+/// panics, so a failed run leaves nothing behind for a later one.
+struct Cleanup(std::path::PathBuf);
+
+impl Drop for Cleanup {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// Builds `/ckpt` under a directory of its own: libtest runs the tests
+/// as threads of one process, so the key carries the test's name as
+/// well as the pid.
+fn make_mount(test: &str) -> (std::path::PathBuf, Cleanup) {
+    let dir = std::env::temp_dir().join(format!("plfsctl-test-{}-{test}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let backend = LocalFs::new(&dir).unwrap();
     let fed = Federation::single("/", 4);
@@ -23,12 +36,12 @@ fn make_mount() -> std::path::PathBuf {
         }
         h.close(9).unwrap();
     }
-    dir
+    (dir.clone(), Cleanup(dir))
 }
 
 #[test]
 fn ls_stat_map_check_cat_roundtrip() {
-    let dir = make_mount();
+    let (dir, _cleanup) = make_mount("ls_stat_map_check_cat_roundtrip");
     let root = dir.to_str().unwrap();
 
     let ls = Command::new(bin()).args(["ls", root]).output().unwrap();
@@ -67,13 +80,11 @@ fn ls_stat_map_check_cat_roundtrip() {
     assert_eq!(cat.stdout.len(), 768);
     // First 64 bytes are writer 0's stream head.
     assert_eq!(cat.stdout[..64], Content::synthetic(0, 64).materialize());
-
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn check_flags_corruption_and_repair_fixes_it() {
-    let dir = make_mount();
+    let (dir, _cleanup) = make_mount("check_flags_corruption_and_repair_fixes_it");
     let root = dir.to_str().unwrap();
     // Truncate an index log mid-record.
     let backend = LocalFs::new(&dir).unwrap();
@@ -102,7 +113,6 @@ fn check_flags_corruption_and_repair_fixes_it() {
         .output()
         .unwrap();
     assert!(again.status.success());
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -113,7 +123,7 @@ fn bad_usage_exits_nonzero() {
 
 #[test]
 fn truncate_subcommand_works() {
-    let dir = make_mount();
+    let (dir, _cleanup) = make_mount("truncate_subcommand_works");
     let root = dir.to_str().unwrap();
     let out = Command::new(bin())
         .args(["truncate", root, "/ckpt", "300"])
@@ -131,12 +141,11 @@ fn truncate_subcommand_works() {
         .output()
         .unwrap();
     assert!(!bad.status.success());
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
 fn du_reports_overheads() {
-    let dir = make_mount();
+    let (dir, _cleanup) = make_mount("du_reports_overheads");
     let root = dir.to_str().unwrap();
     let out = Command::new(bin()).args(["du", root, "/ckpt"]).output().unwrap();
     assert!(out.status.success(), "{out:?}");
@@ -145,7 +154,6 @@ fn du_reports_overheads() {
     assert!(text.contains("data logs  : 768 bytes"), "{text}");
     assert!(text.contains("index logs : 480 bytes"), "{text}"); // 12 records
     assert!(text.contains("dead       : 0 bytes"), "{text}");
-    let _ = std::fs::remove_dir_all(dir);
 }
 
 #[test]
@@ -200,7 +208,7 @@ fn obs_emits_spans_counters_and_histograms() {
 
 #[test]
 fn io_stats_flag_reports_and_reset_is_accepted() {
-    let dir = make_mount();
+    let (dir, _cleanup) = make_mount("io_stats_flag_reports_and_reset_is_accepted");
     let root = dir.to_str().unwrap();
     // --io-stats prints the plane's counters to stderr after the
     // command; reading them is non-destructive within the process and
@@ -214,5 +222,4 @@ fn io_stats_flag_reports_and_reset_is_accepted() {
     let err = String::from_utf8_lossy(&out.stderr).to_string();
     assert!(err.contains("io-plane:"), "{err}");
     assert!(err.contains("op(s)"), "{err}");
-    let _ = std::fs::remove_dir_all(dir);
 }
